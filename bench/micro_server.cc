@@ -3,8 +3,8 @@
 // Starts a Watchman + WatchmanServer in-process on a loopback ephemeral
 // port, pre-fills a working set over the wire, then measures recorded
 // scenarios on ONE connection. The legacy trio runs on the primary
-// server (--backend, default epoll; inline dispatch OFF so the numbers
-// stay comparable with the pre-inline trajectory):
+// server (inline dispatch OFF so the numbers stay comparable with the
+// pre-inline trajectory):
 //
 //   loopback_get_blocking   -- WatchmanClient: one blocked round trip
 //                              per request (the pre-v3 floor)
@@ -15,11 +15,11 @@
 //   loopback_get_mux8t      -- 8 threads sharing ONE MultiplexedClient
 //                              connection, each doing blocking Gets
 //
-// and each fast-path lever then gets its own server + scenario:
+// and the inline fast-path lever then gets its own server, measured
+// with both client shapes:
 //
-//   loopback_get_blocking_inline -- epoll + IO-thread inline dispatch
-//   loopback_get_blocking_uring  -- io_uring backend (skipped with a
-//   loopback_get_pipelined_uring    notice when the kernel can't)
+//   loopback_get_blocking_inline  -- IO-thread inline dispatch,
+//   loopback_get_pipelined_inline    blocking and 32-deep pipelined
 //
 // plus an unrecorded thread sweep (1..max_threads blocking clients, a
 // connection each) and a PING round for the transport floor. The
@@ -28,8 +28,8 @@
 // and inline blocking RTT beating the queued path.
 //
 // Usage: bench_micro_server [--json=PATH] [--baseline=PATH]
-//          [--baseline-label=STR] [--backend=epoll|io_uring|auto]
-//          [--scale=F] [--threads=N] [--ms=N] [--no-sweep]
+//          [--baseline-label=STR] [--scale=F] [--threads=N] [--ms=N]
+//          [--no-sweep]
 
 #include <atomic>
 #include <barrier>
@@ -276,7 +276,6 @@ int Run(int argc, char** argv) {
   std::string json_path;
   std::string baseline_path;
   std::string baseline_label = "baseline";
-  ServerBackend backend = ServerBackend::kEpoll;
   double scale = 1.0;
   int max_threads = 8;
   int ms_per_point = 400;
@@ -289,11 +288,6 @@ int Run(int argc, char** argv) {
       baseline_path = arg.substr(11);
     } else if (arg.rfind("--baseline-label=", 0) == 0) {
       baseline_label = arg.substr(17);
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      if (!ParseServerBackend(arg.substr(10), &backend)) {
-        std::fprintf(stderr, "unknown --backend (epoll|io_uring|auto)\n");
-        return 2;
-      }
     } else if (arg.rfind("--scale=", 0) == 0) {
       scale = std::strtod(arg.c_str() + 8, nullptr);
       if (scale <= 0.0) scale = 1.0;
@@ -308,8 +302,8 @@ int Run(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json=PATH] [--baseline=PATH] "
-                   "[--baseline-label=STR] [--backend=epoll|io_uring|auto] "
-                   "[--scale=F] [--threads=N] [--ms=N] [--no-sweep]\n",
+                   "[--baseline-label=STR] [--scale=F] [--threads=N] "
+                   "[--ms=N] [--no-sweep]\n",
                    argv[0]);
       return 2;
     }
@@ -339,7 +333,6 @@ int Run(int argc, char** argv) {
   WatchmanServer::Options server_options;
   server_options.port = 0;
   server_options.num_workers = static_cast<size_t>(max_threads);
-  server_options.backend = backend;
   server_options.inline_dispatch = false;
   WatchmanServer server(&cache, server_options);
   Status started = server.Start();
@@ -373,13 +366,12 @@ int Run(int argc, char** argv) {
   }
 
   std::printf("==============================================\n");
-  std::printf("watchmand loopback throughput (port %u, backend %s, "
+  std::printf("watchmand loopback throughput (port %u, "
               "%zu shards, %zu cached sets, hardware threads: %u, "
               "scale %.3f)\n",
-              static_cast<unsigned>(server.port()),
-              ServerBackendName(server.effective_backend()),
-              cache.num_shards(), cache.cached_set_count(),
-              std::thread::hardware_concurrency(), scale);
+              static_cast<unsigned>(server.port()), cache.num_shards(),
+              cache.cached_set_count(), std::thread::hardware_concurrency(),
+              scale);
   std::printf("==============================================\n");
 
   JsonReport report("micro_server");
@@ -402,13 +394,12 @@ int Run(int argc, char** argv) {
                 mux.ops_per_sec / blocking.ops_per_sec);
   }
 
-  // ---- per-lever scenarios: one server each, one lever flipped ----
-  // Inline dispatch on the epoll loop: blocking round trips are
-  // answered on the IO thread (no worker handoff), the headline
-  // latency lever for a blocking client.
+  // ---- the inline lever: its own server, both client shapes ----
+  // Inline dispatch: cheap ops are answered on the IO thread (no worker
+  // handoff) -- the headline latency lever for a blocking client, and
+  // the pipelined figure to compare against loopback_get_pipelined.
   {
     WatchmanServer::Options opts = server_options;
-    opts.backend = ServerBackend::kEpoll;
     opts.inline_dispatch = true;
     WatchmanServer inline_server(&cache, opts);
     if (inline_server.Start().ok()) {
@@ -419,36 +410,18 @@ int Run(int argc, char** argv) {
         std::printf("inline vs queued blocking RTT: %.2fx\n",
                     r.ops_per_sec / blocking.ops_per_sec);
       }
+      BenchResult p = RunPipelinedGet("loopback_get_pipelined_inline",
+                                      inline_server.port(), scaled(2e5),
+                                      /*window=*/32);
+      if (!p.scenario.empty()) report.Add(p);
+      if (pipelined.ops_per_sec > 0 && p.ops_per_sec > 0) {
+        std::printf("inline vs queued pipelined: %.2fx\n",
+                    p.ops_per_sec / pipelined.ops_per_sec);
+      }
       std::printf("  (%llu of the requests took the inline path)\n",
                   static_cast<unsigned long long>(
                       inline_server.inline_dispatched()));
       inline_server.Stop();
-    }
-  }
-  // The io_uring completion loop (inline dispatch on as well): batched
-  // submission amortizes syscalls under pipelined load.
-  {
-    WatchmanServer::Options opts = server_options;
-    opts.backend = ServerBackend::kIoUring;
-    opts.inline_dispatch = true;
-    WatchmanServer uring_server(&cache, opts);
-    if (!uring_server.Start().ok() ||
-        uring_server.effective_backend() != ServerBackend::kIoUring) {
-      std::printf("\n(io_uring unavailable on this kernel; skipping "
-                  "loopback_*_uring scenarios)\n");
-    } else {
-      BenchResult r = RunBlockingGet("loopback_get_blocking_uring",
-                                     uring_server.port(), scaled(3e4));
-      if (!r.scenario.empty()) report.Add(r);
-      BenchResult p = RunPipelinedGet("loopback_get_pipelined_uring",
-                                      uring_server.port(), scaled(2e5),
-                                      /*window=*/32);
-      if (!p.scenario.empty()) report.Add(p);
-      if (pipelined.ops_per_sec > 0 && p.ops_per_sec > 0) {
-        std::printf("uring vs epoll pipelined: %.2fx\n",
-                    p.ops_per_sec / pipelined.ops_per_sec);
-      }
-      uring_server.Stop();
     }
   }
 

@@ -26,8 +26,9 @@ int64_t SteadyNowMs() {
 /// descriptor carrying its QueryKey. Reused across calls, so the
 /// steady-state hit path derives the key (one compression pass + one
 /// signature) with no heap allocation. Only valid until the next
-/// Execute()/GetCached()/IsCached() on the same thread -- the miss path
-/// copies what it needs before running the executor, which may reenter.
+/// Execute()/GetCachedInto()/IsCached() on the same thread -- the miss
+/// path copies what it needs before running the executor, which may
+/// reenter.
 struct RequestScratch {
   std::string id;
   QueryDescriptor probe;
@@ -410,27 +411,6 @@ void Watchman::ReleaseInflightOffer() {
   }
 }
 
-StatusOr<std::string> Watchman::GetCached(const std::string& query_text) {
-  RequestScratch& scratch = Scratch();
-  MakeQueryIdInto(query_text, &scratch.id);
-  if (scratch.id.empty()) {
-    return Status::InvalidArgument("query text contains no tokens");
-  }
-  scratch.probe.key.Assign(scratch.id);
-  scratch.probe.result_bytes = 0;
-  scratch.probe.cost = 0;
-  if (!cache_->TryReferenceCached(scratch.probe, NowTick())) {
-    return Status::NotFound("not cached: " + scratch.id);
-  }
-  StatusOr<std::string> payload = GetPayload(scratch.id);
-  if (!payload.ok()) {
-    // Evicted between the reference and the fetch; report the miss (the
-    // recorded reference stands, matching a hit that raced an eviction).
-    return Status::NotFound("payload evicted concurrently: " + scratch.id);
-  }
-  return payload;
-}
-
 Status Watchman::GetCachedInto(const std::string& query_text,
                                std::string* out) {
   RequestScratch& scratch = Scratch();
@@ -441,14 +421,15 @@ Status Watchman::GetCachedInto(const std::string& query_text,
   scratch.probe.key.Assign(scratch.id);
   scratch.probe.result_bytes = 0;
   scratch.probe.cost = 0;
-  if (!cache_->TryReferenceCached(scratch.probe, NowTick())) {
+  // Payload first, reference second: a GET counts as a hit only when it
+  // has a retrieved set to serve. Probing the metadata first would count
+  // a hit inside a fill's publish window (reference recorded, payload not
+  // yet stored) and then answer NotFound, so the caller's follow-up
+  // EXECUTE would record a second lookup for one request.
+  if (!GetPayloadInto(scratch.id, out).ok() ||
+      !cache_->TryReferenceCached(scratch.probe, NowTick())) {
+    out->clear();
     return Status::NotFound("not cached: " + scratch.id);
-  }
-  const Status fetched = GetPayloadInto(scratch.id, out);
-  if (!fetched.ok()) {
-    // Evicted between the reference and the fetch; report the miss (the
-    // recorded reference stands, matching a hit that raced an eviction).
-    return Status::NotFound("payload evicted concurrently: " + scratch.id);
   }
   return Status::OK();
 }

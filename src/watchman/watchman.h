@@ -169,18 +169,16 @@ class Watchman {
     return Execute(query_text);
   }
 
-  /// Hit-only probe: returns the cached retrieved set of `query_text`,
-  /// recording the reference exactly like a hit in Execute(); NotFound
-  /// -- with no lookup counted and nothing executed -- when the set is
-  /// absent. This is the daemon's GET op: a remote caller probes, and
-  /// on NotFound materializes the result itself and offers it back
+  /// Hit-only probe: copies the cached retrieved set of `query_text`
+  /// into `out` (reusing its capacity), recording the reference exactly
+  /// like a hit in Execute(); NotFound -- with no lookup counted and
+  /// nothing executed -- when the set is absent or its payload is not
+  /// stored yet. This is the daemon's GET op: a remote caller probes,
+  /// and on NotFound materializes the result itself and offers it back
   /// through an Execute() miss-fill, so the two round trips together
-  /// count as one reference, like one local Execute().
-  StatusOr<std::string> GetCached(const std::string& query_text);
-
-  /// GetCached() into a caller-owned buffer, reusing its capacity: the
-  /// daemon serves GET into per-connection response scratch, so the
-  /// remote hit path allocates nothing at steady state.
+  /// count as one reference, like one local Execute(). The daemon
+  /// serves GET into per-connection response scratch, so the remote hit
+  /// path allocates nothing at steady state.
   Status GetCachedInto(const std::string& query_text, std::string* out);
 
   /// True if the retrieved set of `query_text` is currently cached.

@@ -1,9 +1,9 @@
 // Chaos integration suite: seeded fault schedules against a live
-// daemon on BOTH event backends. Every schedule drives a mixed
-// wire workload (blocking + multiplexed clients) while the injector
-// fires short reads/writes, EAGAIN storms, connection resets, slow-peer
-// stalls, accept failures, store outages, executor crashes and
-// allocation failures -- and asserts the three chaos invariants:
+// daemon. Every schedule drives a mixed wire workload (blocking +
+// multiplexed clients) while the injector fires short reads/writes,
+// EAGAIN storms, connection resets, slow-peer stalls, accept failures,
+// store outages, executor crashes and allocation failures -- and
+// asserts the three chaos invariants:
 //
 //  1. No crash: the daemon and both client paths survive the run.
 //  2. No hang: every call returns within a bound derived from
@@ -32,7 +32,7 @@
 
 #include "server/client.h"
 #include "server/server.h"
-#include "server/uring.h"
+#include "support/event_loop_param.h"
 #include "util/fault.h"
 #include "watchman/watchman.h"
 
@@ -94,15 +94,8 @@ struct Outcomes {
 };
 
 class ChaosTest
-    : public testing::TestWithParam<std::tuple<ServerBackend, size_t>> {
+    : public testing::TestWithParam<std::tuple<EventLoop, size_t>> {
  protected:
-  void SetUp() override {
-    if (std::get<0>(GetParam()) == ServerBackend::kIoUring &&
-        !Uring::KernelSupported()) {
-      GTEST_SKIP() << "kernel cannot run the io_uring backend";
-    }
-  }
-
   void TearDown() override { FaultInjector::Global().Reset(); }
 
   static const ChaosSchedule& Schedule() {
@@ -120,11 +113,9 @@ class ChaosTest
                                         WatchmanServer::MissFillExecutor());
     WatchmanServer::Options server_options;
     server_options.port = 0;
-    server_options.backend = std::get<0>(GetParam());
     server_options.io_timeout_ms = kIoTimeoutMs;
     server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
     ASSERT_TRUE(server_->Start().ok());
-    ASSERT_EQ(server_->effective_backend(), std::get<0>(GetParam()));
   }
 
   WatchmanClient::Options ClientOptions() const {
@@ -264,16 +255,8 @@ TEST_P(ChaosTest, SurvivesScheduleWithDocumentedOutcomesOnly) {
   EXPECT_GE(blocking.ok + pipelined.ok, 1);
 
   // The schedule really fired: a refactor that routes IO around the
-  // shims would turn this suite into a no-op without this check. The
-  // one blind spot is accept_fail on io_uring, whose multishot-accept
-  // path has no shim (uring sheds coverage there by design; epoll keeps
-  // it).
-  const bool accept_only_on_uring =
-      std::string(schedule.name) == "accept_storm" &&
-      std::get<0>(GetParam()) == ServerBackend::kIoUring;
-  if (!accept_only_on_uring) {
-    EXPECT_GT(FaultInjector::Global().injected_total(), 0u);
-  }
+  // shims would turn this suite into a no-op without this check.
+  EXPECT_GT(FaultInjector::Global().injected_total(), 0u);
 
   // Recovery: with the injector quiet again, a fresh client is served
   // cleanly -- and the daemon's own metrics survive a scrape.
@@ -291,18 +274,14 @@ TEST_P(ChaosTest, SurvivesScheduleWithDocumentedOutcomesOnly) {
   server_->Stop();
 }
 
-std::string ChaosParamName(
-    const testing::TestParamInfo<std::tuple<ServerBackend, size_t>>& info) {
-  return std::string(kSchedules[std::get<1>(info.param)].name) + "_" +
-         ServerBackendName(std::get<0>(info.param));
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Schedules, ChaosTest,
-    testing::Combine(testing::Values(ServerBackend::kEpoll,
-                                     ServerBackend::kIoUring),
+    testing::Combine(testing::Values(EventLoop::kEpoll),
                      testing::Range<size_t>(0, std::size(kSchedules))),
-    ChaosParamName);
+    [](const testing::TestParamInfo<std::tuple<EventLoop, size_t>>& info) {
+      return std::string(kSchedules[std::get<1>(info.param)].name) + "_" +
+             EventLoopName(std::get<0>(info.param));
+    });
 
 }  // namespace
 }  // namespace watchman

@@ -1,6 +1,6 @@
 // Admin HTTP endpoint integration tests: a raw loopback socket speaks
-// HTTP to the /metrics listener running on the server's event loop, on
-// both backends. The exposition is checked with the shared Prometheus
+// HTTP to the /metrics listener running on the server's event loop.
+// The exposition is checked with the shared Prometheus
 // text validator, and the wire STATS op is asserted to keep reporting
 // per-op latency from the same metric objects.
 
@@ -20,7 +20,7 @@
 
 #include "server/client.h"
 #include "server/server.h"
-#include "server/uring.h"
+#include "support/event_loop_param.h"
 #include "support/promtext.h"
 #include "watchman/watchman.h"
 
@@ -94,14 +94,8 @@ void SplitResponse(const std::string& response, std::string* status_line,
   *body = response.substr(sep + 4);
 }
 
-class AdminEndpointTest : public testing::TestWithParam<ServerBackend> {
+class AdminEndpointTest : public testing::TestWithParam<EventLoop> {
  protected:
-  void SetUp() override {
-    if (GetParam() == ServerBackend::kIoUring && !Uring::KernelSupported()) {
-      GTEST_SKIP() << "kernel cannot run the io_uring backend";
-    }
-  }
-
   void StartServer(bool metrics = true) {
     Watchman::Options options;
     options.capacity_bytes = 1 << 20;
@@ -115,11 +109,9 @@ class AdminEndpointTest : public testing::TestWithParam<ServerBackend> {
     WatchmanServer::Options server_options;
     server_options.port = 0;
     server_options.admin_port = 0;  // ephemeral: parallel-safe in CI
-    server_options.backend = GetParam();
     server_options.metrics = metrics;
     server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
     ASSERT_TRUE(server_->Start().ok());
-    ASSERT_EQ(server_->effective_backend(), GetParam());
     ASSERT_NE(server_->admin_port(), 0);
   }
 
@@ -296,16 +288,14 @@ TEST_P(AdminEndpointTest, AdminDisabledByDefault) {
       });
   WatchmanServer::Options server_options;
   server_options.port = 0;
-  server_options.backend = GetParam();
   server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
   ASSERT_TRUE(server_->Start().ok());
   EXPECT_EQ(server_->admin_port(), 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, AdminEndpointTest,
-    testing::Values(ServerBackend::kEpoll, ServerBackend::kIoUring),
-    [](const auto& info) { return std::string(ServerBackendName(info.param)); });
+INSTANTIATE_TEST_SUITE_P(Backends, AdminEndpointTest,
+                         testing::Values(EventLoop::kEpoll),
+                         EventLoopParamName);
 
 }  // namespace
 }  // namespace watchman

@@ -1,9 +1,7 @@
 // Overload-protection integration tests: the admission layer's quota /
 // connection-cap / global-budget shedding over a real loopback socket,
 // the clients' shed-retry behavior, admin listener hardening, and the
-// visibility of every shed event on /metrics. Parameterized over both
-// event backends -- admission runs in the shared frame-parse path, and
-// these tests keep it that way.
+// visibility of every shed event on /metrics.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +20,7 @@
 
 #include "server/client.h"
 #include "server/server.h"
-#include "server/uring.h"
+#include "support/event_loop_param.h"
 #include "watchman/watchman.h"
 
 namespace watchman {
@@ -73,18 +71,11 @@ class HttpConn {
   bool connected_ = false;
 };
 
-class OverloadTest : public testing::TestWithParam<ServerBackend> {
+class OverloadTest : public testing::TestWithParam<EventLoop> {
  protected:
-  void SetUp() override {
-    if (GetParam() == ServerBackend::kIoUring && !Uring::KernelSupported()) {
-      GTEST_SKIP() << "kernel cannot run the io_uring backend";
-    }
-  }
-
-  WatchmanServer::Options BackendOptions() const {
+  static WatchmanServer::Options BaseOptions() {
     WatchmanServer::Options server_options;
     server_options.port = 0;
-    server_options.backend = GetParam();
     return server_options;
   }
 
@@ -96,7 +87,6 @@ class OverloadTest : public testing::TestWithParam<ServerBackend> {
     server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
-    ASSERT_EQ(server_->effective_backend(), GetParam());
   }
 
   WatchmanClient::Options ClientOptions(int shed_retries = 0) const {
@@ -125,7 +115,7 @@ class OverloadTest : public testing::TestWithParam<ServerBackend> {
 };
 
 TEST_P(OverloadTest, PeerQuotaShedsAbuserWhileNeighborIsServed) {
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.peer_requests_per_sec = 50;
   server_options.admission.peer_burst = 2;
   StartServer(server_options);
@@ -164,7 +154,7 @@ TEST_P(OverloadTest, PeerQuotaShedsAbuserWhileNeighborIsServed) {
 }
 
 TEST_P(OverloadTest, ClientShedRetriesSucceedAfterBackoff) {
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.peer_requests_per_sec = 100;
   server_options.admission.peer_burst = 1;
   StartServer(server_options);
@@ -179,7 +169,7 @@ TEST_P(OverloadTest, ClientShedRetriesSucceedAfterBackoff) {
 }
 
 TEST_P(OverloadTest, ConnectionCapShedsSecondConnection) {
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.max_connections_per_peer = 1;
   StartServer(server_options);
 
@@ -202,7 +192,7 @@ TEST_P(OverloadTest, ConnectionCapShedsSecondConnection) {
 }
 
 TEST_P(OverloadTest, GlobalInflightBudgetShedsPipelinedBurst) {
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.max_global_inflight = 1;
   server_options.num_workers = 1;
   StartServer(server_options);
@@ -246,7 +236,7 @@ TEST_P(OverloadTest, GlobalInflightBudgetShedsPipelinedBurst) {
 }
 
 TEST_P(OverloadTest, AdminConnectionCapRefusesExcess) {
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admin_port = 0;  // enable on an ephemeral port
   server_options.max_admin_connections = 1;
   server_options.admin_header_timeout_ms = 0;  // isolate the cap
@@ -271,7 +261,7 @@ TEST_P(OverloadTest, AdminConnectionCapRefusesExcess) {
 }
 
 TEST_P(OverloadTest, AdminSlowlorisHeaderDeadlineCloses) {
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admin_port = 0;
   server_options.admin_header_timeout_ms = 100;
   StartServer(server_options);
@@ -297,7 +287,7 @@ TEST_P(OverloadTest, AdminSlowlorisHeaderDeadlineCloses) {
 }
 
 TEST_P(OverloadTest, ShedCountersVisibleOnMetricsEndpoint) {
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.peer_requests_per_sec = 50;
   server_options.admission.peer_burst = 1;
   server_options.admin_port = 0;
@@ -327,12 +317,9 @@ TEST_P(OverloadTest, ShedCountersVisibleOnMetricsEndpoint) {
   EXPECT_NE(body.find("watchman_store_breaker_state"), std::string::npos);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, OverloadTest,
-    testing::Values(ServerBackend::kEpoll, ServerBackend::kIoUring),
-    [](const testing::TestParamInfo<ServerBackend>& info) {
-      return std::string(ServerBackendName(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Backends, OverloadTest,
+                         testing::Values(EventLoop::kEpoll),
+                         EventLoopParamName);
 
 }  // namespace
 }  // namespace watchman

@@ -1,11 +1,6 @@
 // Client/server integration tests over a loopback socket: the server
 // binds an ephemeral port (port 0) so parallel CI runs never collide,
 // and the "Server...Concurrent..." tests run under TSan in CI.
-//
-// The whole suite is parameterized over the event backend (epoll and
-// io_uring) so both IO loops face the same protocol-violation,
-// half-close, timeout and concurrency scenarios. The io_uring
-// instantiation skips itself on kernels that cannot run the backend.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +20,7 @@
 
 #include "server/client.h"
 #include "server/server.h"
-#include "server/uring.h"
+#include "support/event_loop_param.h"
 #include "watchman/watchman.h"
 
 namespace watchman {
@@ -102,21 +97,13 @@ Watchman::Executor CountingExecutor(std::atomic<int>* executions,
   };
 }
 
-class ServerIntegrationTest : public testing::TestWithParam<ServerBackend> {
+class ServerIntegrationTest : public testing::TestWithParam<EventLoop> {
  protected:
-  void SetUp() override {
-    if (GetParam() == ServerBackend::kIoUring && !Uring::KernelSupported()) {
-      GTEST_SKIP() << "kernel cannot run the io_uring backend";
-    }
-  }
-
-  /// Server options with the suite's backend applied; every server this
-  /// suite starts -- fixture-owned or test-local -- goes through here
-  /// so no scenario silently tests only epoll.
-  WatchmanServer::Options BackendOptions() const {
+  /// Options every server this suite starts -- fixture-owned or
+  /// test-local -- begins from.
+  static WatchmanServer::Options BaseOptions() {
     WatchmanServer::Options server_options;
     server_options.port = 0;  // ephemeral: parallel-safe in CI
-    server_options.backend = GetParam();
     return server_options;
   }
 
@@ -126,14 +113,11 @@ class ServerIntegrationTest : public testing::TestWithParam<ServerBackend> {
     options.num_shards = num_shards;
     cache_ = std::make_unique<Watchman>(std::move(options),
                                         WatchmanServer::MissFillExecutor());
-    WatchmanServer::Options server_options = BackendOptions();
+    WatchmanServer::Options server_options = BaseOptions();
     server_options.num_workers = num_workers;
     server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
-    // KernelSupported() passed, so a requested io_uring backend must
-    // actually serve (a silent fallback here would shadow coverage).
-    ASSERT_EQ(server_->effective_backend(), GetParam());
   }
 
   WatchmanClient::Options ClientOptions() const {
@@ -291,9 +275,10 @@ TEST_P(ServerIntegrationTest, StatsMatchTheLocalFacade) {
   EXPECT_EQ(stats->num_shards, cache_->num_shards());
   EXPECT_EQ(stats->policy_name, cache_->policy_name());
   EXPECT_DOUBLE_EQ(stats->hit_ratio(), local.hit_ratio());
-  // v4 transport fields: the wire names the serving backend, and a
-  // fresh server has no compaction yet.
-  EXPECT_EQ(stats->backend, ServerBackendName(GetParam()));
+  // v4 transport fields: the wire names the event loop (always epoll,
+  // kept for wire compatibility), and a fresh server has no compaction
+  // yet.
+  EXPECT_EQ(stats->backend, "epoll");
   EXPECT_EQ(stats->compactions, 0u);
   EXPECT_EQ(stats->last_compaction_age_ms, WireStats::kNeverCompacted);
 
@@ -358,7 +343,7 @@ TEST_P(ServerIntegrationTest, InlineDispatchDisabledByOption) {
   Watchman::Options options;
   options.capacity_bytes = 8 << 20;
   Watchman cache(std::move(options), WatchmanServer::MissFillExecutor());
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.inline_dispatch = false;
   WatchmanServer server(&cache, server_options);
   ASSERT_TRUE(server.Start().ok());
@@ -383,7 +368,7 @@ TEST_P(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
   Watchman::Options options;
   options.capacity_bytes = 8 << 20;
   Watchman cache(std::move(options), WatchmanServer::MissFillExecutor());
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.num_workers = 1;
   server_options.max_inline_burst = 2;
   WatchmanServer server(&cache, server_options);
@@ -457,7 +442,7 @@ TEST_P(ServerIntegrationTest, IdleCompactionRunsOncePerIdlePeriod) {
   Watchman::Options options;
   options.capacity_bytes = 8 << 20;
   Watchman cache(std::move(options), WatchmanServer::MissFillExecutor());
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.poll_interval_ms = 10;
   server_options.compact_idle_ms = 50;
   WatchmanServer server(&cache, server_options);
@@ -582,7 +567,7 @@ TEST_P(ServerIntegrationTest, ConcurrentClientsWithInvalidationChaos) {
 TEST_P(ServerIntegrationTest, OversizedFillRejectedAsCorruption) {
   StartServer();
   // Re-start a second server with a tiny frame limit.
-  WatchmanServer::Options tiny = BackendOptions();
+  WatchmanServer::Options tiny = BaseOptions();
   tiny.num_workers = 1;
   tiny.max_frame_bytes = 1024;
   WatchmanServer small_server(cache_.get(), tiny);
@@ -674,7 +659,7 @@ TEST_P(ServerIntegrationTest, OversizedFrameSurfacesCorruptionAtTheClient) {
   // Acceptance: through the real client, a frame the daemon rejects
   // must surface the daemon's Corruption message -- NOT an
   // "op mismatch" Internal error, and not a bare connection reset.
-  WatchmanServer::Options tiny = BackendOptions();
+  WatchmanServer::Options tiny = BaseOptions();
   tiny.num_workers = 1;
   tiny.max_frame_bytes = 1024;
   Watchman::Options cache_options;
@@ -732,7 +717,7 @@ TEST_P(ServerIntegrationTest, IoTimeoutReapsStalledConnection) {
   // A connection stuck mid-frame (length prefix promises more bytes
   // that never come) is closed once io_timeout_ms passes without
   // progress; a healthy idle connection on the same server is NOT.
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.io_timeout_ms = 200;
   server_options.poll_interval_ms = 20;
   Watchman::Options cache_options;
@@ -780,65 +765,9 @@ TEST_P(ServerIntegrationTest, GracefulShutdownStopsServing) {
   server_->Stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ServerIntegrationTest,
-    testing::Values(ServerBackend::kEpoll, ServerBackend::kIoUring),
-    [](const testing::TestParamInfo<ServerBackend>& info) {
-      return std::string(ServerBackendName(info.param));
-    });
-
-// ---- backend selection / fallback (not parameterized) ----
-
-TEST(ServerBackendTest, ParseNamesRoundTrip) {
-  ServerBackend backend = ServerBackend::kAuto;
-  EXPECT_TRUE(ParseServerBackend("epoll", &backend));
-  EXPECT_EQ(backend, ServerBackend::kEpoll);
-  EXPECT_TRUE(ParseServerBackend("io_uring", &backend));
-  EXPECT_EQ(backend, ServerBackend::kIoUring);
-  EXPECT_TRUE(ParseServerBackend("auto", &backend));
-  EXPECT_EQ(backend, ServerBackend::kAuto);
-  EXPECT_TRUE(ParseServerBackend("uring", &backend));  // accepted alias
-  EXPECT_EQ(backend, ServerBackend::kIoUring);
-  EXPECT_FALSE(ParseServerBackend("epol", &backend));
-  EXPECT_FALSE(ParseServerBackend("", &backend));
-  EXPECT_STREQ(ServerBackendName(ServerBackend::kEpoll), "epoll");
-  EXPECT_STREQ(ServerBackendName(ServerBackend::kIoUring), "io_uring");
-  EXPECT_STREQ(ServerBackendName(ServerBackend::kAuto), "auto");
-}
-
-class BackendFallbackTest : public testing::TestWithParam<ServerBackend> {};
-
-TEST_P(BackendFallbackTest, FallsBackToEpollAndStillServes) {
-  // Regression for the fallback path: a kernel without io_uring must
-  // not fail Start() -- both `io_uring` (with a logged warning) and
-  // `auto` (silently) serve on epoll. simulate_io_uring_unavailable
-  // makes the scenario deterministic on any kernel.
-  Watchman::Options options;
-  options.capacity_bytes = 8 << 20;
-  Watchman cache(std::move(options), WatchmanServer::MissFillExecutor());
-  WatchmanServer::Options server_options;
-  server_options.port = 0;
-  server_options.backend = GetParam();
-  server_options.simulate_io_uring_unavailable = true;
-  WatchmanServer server(&cache, server_options);
-  ASSERT_TRUE(server.Start().ok());
-  EXPECT_EQ(server.effective_backend(), ServerBackend::kEpoll);
-  EXPECT_EQ(server.StatsSnapshot().backend, std::string("epoll"));
-
-  WatchmanClient::Options client_options;
-  client_options.port = server.port();
-  auto client = WatchmanClient::Connect(client_options);
-  ASSERT_TRUE(client.ok());
-  EXPECT_TRUE((*client)->Ping().ok());
-  server.Stop();
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Requested, BackendFallbackTest,
-    testing::Values(ServerBackend::kIoUring, ServerBackend::kAuto),
-    [](const testing::TestParamInfo<ServerBackend>& info) {
-      return std::string(ServerBackendName(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Backends, ServerIntegrationTest,
+                         testing::Values(EventLoop::kEpoll),
+                         EventLoopParamName);
 
 }  // namespace
 }  // namespace watchman

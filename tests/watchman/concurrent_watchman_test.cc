@@ -8,6 +8,8 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <latch>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -196,6 +198,62 @@ TEST(ConcurrentWatchmanTest, EmptyResultsNeverCachedUnderAnyPolicy) {
     EXPECT_EQ(wm.stats().hits, 0u) << name;
     EXPECT_EQ(wm.cached_set_count(), 0u) << name;
   }
+}
+
+/// A MemoryPayloadStore whose Put parks until released and then fails,
+/// holding a fill's publish window (reference recorded, payload not yet
+/// stored) open for as long as a test needs it.
+class ParkedPutStore : public MemoryPayloadStore {
+ public:
+  Status Put(const std::string&, const std::string&) override {
+    entered.count_down();
+    release.wait();
+    return Status::IOError("parked put fails");
+  }
+
+  std::latch entered{1};
+  std::latch release{1};
+};
+
+TEST(ConcurrentWatchmanTest, GetInPublishWindowCountsNoPhantomHit) {
+  // A GET that lands between a fill's reference and its payload store
+  // must answer NotFound without recording a lookup: it served nothing,
+  // and the remote caller's follow-up EXECUTE records the request's one
+  // reference.
+  auto store = std::make_unique<ParkedPutStore>();
+  ParkedPutStore* parked = store.get();
+  Watchman::Options opts;
+  opts.capacity_bytes = 1 << 20;
+  opts.payload_store = std::move(store);
+  Watchman wm(std::move(opts), [](const std::string& text)
+                  -> StatusOr<Watchman::ExecutionResult> {
+    return Watchman::ExecutionResult{PayloadFor(text), 500, {}};
+  });
+  const std::string text = "select sum(price) from orders";
+  std::thread filler([&] { EXPECT_TRUE(wm.Execute(text).ok()); });
+  parked->entered.wait();
+  ASSERT_TRUE(wm.IsCached(text));  // metadata in, payload not stored
+
+  const CacheStats before = wm.stats();
+  Status got;
+  std::string out;
+  std::thread getter([&] { got = wm.GetCachedInto(text, &out); });
+  // A GET that counts before fetching does so before it blocks on the
+  // parked store; wait for that (bounded) so the window is really hit.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (wm.stats().lookups == before.lookups &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  parked->release.count_down();
+  getter.join();
+  filler.join();
+
+  EXPECT_EQ(got.code(), StatusCode::kNotFound);
+  const CacheStats after = wm.stats();
+  EXPECT_EQ(after.lookups, before.lookups);
+  EXPECT_EQ(after.hits, before.hits);
 }
 
 TEST(ConcurrentWatchmanTest, PolicyFactoryDrivesTheCache) {
